@@ -14,9 +14,9 @@
 //! queue (`SUBMIT` past it answers `BUSY`); `--io-timeout-ms` puts
 //! read/write deadlines on daemon-side connection sockets;
 //! `--store-max-pipeline-entries` caps the pipeline tier of the store,
-//! evicting the least recently served entries past the cap after each
-//! batch. See
-//! `shadowdp_service` for the protocol and formats. Exits on a client
+//! evicting the least recently served entries past the cap at startup
+//! and after each batch. See `shadowdp_service` for the protocol and
+//! formats. Exits on a client
 //! `SHUTDOWN`.
 
 use std::path::PathBuf;

@@ -56,6 +56,13 @@
 //!   sent and dropped only after its batch's verdicts are durably
 //!   flushed. A daemon killed mid-batch re-verifies the journaled
 //!   submissions on restart, so an accepted job is never silently lost.
+//!   The journal is reset (rewritten to the still-outstanding
+//!   submissions) only after a batch that flushed fresh verdicts: an
+//!   all-store-hit batch persisted nothing, its journal entries would
+//!   replay as mere store hits, and skipping the rewrite keeps an fsync
+//!   off the state lock `SUBMIT` needs. The next flushing batch, a
+//!   journal past `JOURNAL_SLACK` (1 024) entries, or clean shutdown
+//!   drops them.
 //!   The journal reuses the store's framing discipline: an 8-byte magic
 //!   (`SDPJRNL1`) then per-record `u32` LE payload length + payload (one
 //!   encoded `SUBMIT` line) + 16-byte LE fnv128 of the payload; replay
@@ -91,6 +98,11 @@ pub const DEFAULT_COMPACT_RATIO: f64 = 2.0;
 /// Batches normally turn around well within this; the client treats it
 /// as a floor and backs off further on repeated rejections.
 pub const BUSY_RETRY_MS: u64 = 100;
+
+/// Journaled submissions after which even an all-store-hit batch resets
+/// the journal, so a daemon that only serves from its store still keeps
+/// the journal (and a restart's replay) bounded.
+const JOURNAL_SLACK: u64 = 1024;
 
 // ---------------------------------------------------------------------------
 // Metrics (always-on; exposed over the METRICS verb)
@@ -169,13 +181,13 @@ static COMPACTION_RATIO: LazyFloatGauge = LazyFloatGauge::new(
 );
 static STAMP_OLDEST: LazyGauge = LazyGauge::new(
     "shadowdp_pipeline_stamp_oldest",
-    "Oldest last-served-batch stamp across pipeline-tier entries \
-     (eviction groundwork; 0 until an entry is served)",
+    "Oldest in-memory last-served-batch stamp across pipeline-tier entries \
+     (the LRU cap evicts from here; 0 until an entry is served)",
 );
 static STAMP_NEWEST: LazyGauge = LazyGauge::new(
     "shadowdp_pipeline_stamp_newest",
-    "Newest last-served-batch stamp across pipeline-tier entries \
-     (eviction groundwork; 0 until an entry is served)",
+    "Newest in-memory last-served-batch stamp across pipeline-tier entries \
+     (0 until an entry is served)",
 );
 static BATCH_JOBS: LazyHistogram = LazyHistogram::new(
     "shadowdp_batch_jobs",
@@ -211,6 +223,7 @@ fn register_metrics() {
     STAMP_NEWEST.get();
     BATCH_JOBS.get();
     FLUSH_US.get();
+    crate::store::REWRITES.get();
     // Pipeline + solver metrics live in their own crates; pull them in
     // too, or a warm daemon serving everything from its store would
     // scrape without the solver counters.
@@ -260,11 +273,12 @@ pub struct DaemonConfig {
     /// how long an *idle* connection may sit between requests.
     pub io_timeout: Option<Duration>,
     /// Cap on pipeline-tier store entries (`--store-max-pipeline-entries`).
-    /// After each batch's puts and before its flush, the least recently
-    /// *served* entries past the cap are evicted
-    /// ([`VerdictStore::evict_pipeline_lru`]), so a daemon fed an
-    /// unbounded stream of distinct programs keeps a bounded store.
-    /// `None` = unbounded (the pre-eviction behavior).
+    /// At startup, and after each batch's puts before its flush, the
+    /// least recently *served* entries past the cap are evicted
+    /// ([`VerdictStore::evict_pipeline_lru`]) and persisted as tombstones,
+    /// so a daemon fed an unbounded stream of distinct programs keeps a
+    /// bounded store, and a store loaded under a lowered cap serves within
+    /// it from the first request. `None` = unbounded.
     pub max_pipeline_entries: Option<usize>,
 }
 
@@ -439,7 +453,7 @@ struct State {
     /// the first), reported by `STATUS`.
     last_flush_micros: u64,
     /// Monotonic batch counter. Stamped onto pipeline-tier entries at
-    /// put/serve time (eviction groundwork; see
+    /// put/serve time, the recency the LRU cap evicts by (see
     /// [`VerdictStore::stamp_served`]).
     batch_seq: u64,
     shutdown: bool,
@@ -513,12 +527,24 @@ pub fn run(config: DaemonConfig) -> std::io::Result<()> {
             ),
         ));
     }
-    let store = match &config.store {
+    let mut store = match &config.store {
         Some(path) => VerdictStore::load(path),
         None => VerdictStore::in_memory(),
     };
     if let Some(note) = store.load_note() {
         eprintln!("shadowdpd: {note}");
+    }
+    // A store written under a larger (or no) cap is brought within this
+    // run's cap before the first request; the tombstones are persisted
+    // now, or, if this flush fails, by the first batch's flush.
+    if let Some(max) = config.max_pipeline_entries {
+        let evicted = store.evict_pipeline_lru(max);
+        if evicted > 0 {
+            PIPELINE_EVICTIONS.add(evicted as u64);
+            if let Err(e) = store.flush() {
+                eprintln!("shadowdpd: store flush of startup evictions failed (will retry): {e}");
+            }
+        }
     }
     let memo = Arc::new(QueryMemo::default());
     store.warm_memo(&memo);
@@ -654,7 +680,9 @@ fn schedule(shared: &Shared) {
         let mut outcomes: Vec<JobOutcome> = Vec::new();
         let mut fresh: Vec<(u64, JobSpec, CorpusJob)> = Vec::new();
         let mut hits = 0u64;
-        {
+        // Whether the store holds no unflushed delta (say, from an earlier
+        // batch whose flush failed) before this batch adds to it.
+        let store_clean = {
             let mut store = shared.store.lock().unwrap();
             for (id, spec) in batch {
                 if let Some(entry) = store.pipeline_get(&spec) {
@@ -708,12 +736,13 @@ fn schedule(shared: &Shared) {
                 }
             }
             refresh_store_gauges(&store);
-        }
+            store.dirty_len() == 0
+        };
 
-        // Whether this batch's verdicts are durably persisted by the time
-        // we publish — the precondition for dropping the batch's journal
-        // entries. An all-store-hit batch adds nothing to persist.
-        let mut persisted = true;
+        // Whether this batch flushed fresh verdicts — the precondition for
+        // dropping the batch's journal entries. An all-store-hit batch
+        // flushes nothing (see the journal reset rule in the module docs).
+        let mut persisted = false;
         let mut flush_micros: Option<u64> = None;
         if !fresh.is_empty() {
             let jobs: Vec<CorpusJob> = fresh.iter().map(|(_, _, job)| job.clone()).collect();
@@ -761,7 +790,7 @@ fn schedule(shared: &Shared) {
                             deps: Some(deps),
                         },
                     );
-                    // Put-time stamp (eviction groundwork).
+                    // Put-time stamp: the entry's first use.
                     store.stamp_served(spec, seq);
                 }
                 outcomes.push(JobOutcome {
@@ -788,9 +817,8 @@ fn schedule(shared: &Shared) {
             // compaction) persists it.
             store.absorb_dirty(&shared.memo);
             // Enforce the pipeline-tier cap now, after this batch's puts
-            // and before the flush: an eviction forces a full rewrite,
-            // and doing it here folds that rewrite into the flush I/O
-            // below instead of paying for it separately.
+            // and before the flush, so the evictions' tombstones ride the
+            // same delta record as the puts.
             if let Some(max) = shared.config.max_pipeline_entries {
                 let evicted = store.evict_pipeline_lru(max);
                 if evicted > 0 {
@@ -806,8 +834,8 @@ fn schedule(shared: &Shared) {
             flush_micros = Some(us);
             FLUSH_US.observe(us);
             LAST_FLUSH_US.set(us);
+            persisted = flushed.is_ok();
             if let Err(e) = flushed {
-                persisted = false;
                 eprintln!("shadowdpd: store flush failed (delta retained, will retry): {e}");
             } else if store.wants_compaction(shared.config.compact_ratio) {
                 match store.compact() {
@@ -863,12 +891,15 @@ fn schedule(shared: &Shared) {
                 st.delivered.insert(outcome.id);
             }
         }
-        // The batch is done and (if anything was fresh) durably flushed:
-        // shrink the journal to what's still outstanding — submissions
-        // accepted while this batch ran. On a failed flush the journal
-        // keeps covering the batch, so a crash before the retry succeeds
-        // still re-verifies it.
-        if persisted {
+        // The batch is done and its fresh verdicts durably flushed: shrink
+        // the journal to what's still outstanding — submissions accepted
+        // while this batch ran. On a failed flush the journal keeps
+        // covering the batch, so a crash before the retry succeeds still
+        // re-verifies it. After a batch with no fresh job the journal is
+        // left as is until it outgrows `JOURNAL_SLACK`, and even then only
+        // while no earlier failed flush is still waiting for a retry.
+        let slack_spent = fresh.is_empty() && store_clean && st.journaled > JOURNAL_SLACK;
+        if persisted || slack_spent {
             match shared.journal.reset(&st.pending) {
                 Ok(()) => st.journaled = st.pending.len() as u64,
                 Err(e) => eprintln!("shadowdpd: journal reset failed (will retry): {e}"),

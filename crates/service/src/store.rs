@@ -26,7 +26,7 @@
 //! magic   b"SDPVERD2"
 //! record* u32  payload length
 //!         payload:
-//!           u8  kind (0 = base, 1 = delta)
+//!           u8  kind (0 = base, 1 = delta, 2 = delta with evictions)
 //!           u64 solver entry count
 //!               per entry: u128 fingerprint, u8 tag (0 = Unsat, 1 = Sat);
 //!               Sat carries a Model: u8 possibly_spurious,
@@ -38,32 +38,31 @@
 //!                          u32 digest len, digest bytes,
 //!                          u8 deps tag (0 = unknown, 1 = known);
 //!                          known ⇒ u64 dep count, count × u128 fingerprint
+//!           kind 2 only: u64 evicted count, count × u128 pipeline key
 //!         u128 FNV-1a-128 checksum of the payload
 //! ```
 //!
 //! Replay starts from empty state; a **base** record resets it (compaction
 //! and first-flush write exactly one) and a **delta** record merges on top
-//! (each incremental flush appends one). Every record carries its own
-//! checksum, so a torn tail — a crash mid-append — **truncates the log to
-//! the last valid record** instead of cold-starting the whole store; only
-//! a damaged header (or a v1 image failing its whole-file checksum) falls
-//! back to a cold (empty) cache. The store never panics and never
-//! half-loads a record.
+//! (each incremental flush appends one). A delta that carries LRU
+//! evictions is kind 2: after merging its entries, replay removes the
+//! listed pipeline keys (the tombstones). A flush without evictions
+//! writes kind 1, byte for byte as before tombstones existed. Every record
+//! carries its own checksum, so a torn tail — a crash mid-append —
+//! **truncates the log to the last valid record** instead of cold-starting
+//! the whole store, and an append's entries and tombstones land together
+//! or not at all. Only a damaged header (which includes any other magic,
+//! such as the retired whole-image format `SDPVERD1`) falls back to a cold
+//! (empty) cache. The store never panics and never half-loads a record.
 //!
 //! Appends first truncate the file back to the last known-valid length
 //! (dropping any torn tail a crashed sibling left), then write + fsync.
 //! **Compaction** ([`VerdictStore::compact`]) rewrites the whole log as
 //! one base record — atomically: sibling temp file, fsync, `rename` —
-//! dropping both superseded log records and solver-tier entries
-//! unreachable from any pipeline-tier job's dependency set.
-//!
-//! # v1 compatibility
-//!
-//! Files with magic `SDPVERD1` (the rewrite-everything format of earlier
-//! releases: same entry encodings, one whole-file checksum trailer) are
-//! still read in full; their pipeline entries carry no dependency sets, so
-//! they conservatively pin every solver entry until the jobs are re-run.
-//! The first flush after loading a v1 image rewrites it as v2.
+//! dropping superseded log records, tombstones with the entries they
+//! evicted, and solver-tier entries unreachable from any pipeline-tier
+//! job's dependency set. Evicted entries and their tombstones count as
+//! dead weight toward the compaction ratio.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Seek};
@@ -71,20 +70,27 @@ use std::path::{Path, PathBuf};
 
 use shadowdp::JobSpec;
 use shadowdp_num::Rat;
+use shadowdp_obs::LazyCounter;
 use shadowdp_solver::{CheckResult, Fingerprint, Model, QueryMemo};
-
-/// The v1 file magic (whole-image format with a trailing checksum). Still
-/// accepted by [`VerdictStore::load`]; never written.
-const MAGIC_V1: &[u8; 8] = b"SDPVERD1";
 
 /// The v2 file magic: format name + version. Bump the trailing digit on
 /// any layout change — old daemons then treat new files as corrupt (cold
 /// start) instead of misreading them.
 const MAGIC_V2: &[u8; 8] = b"SDPVERD2";
 
-/// Record kinds. A base record resets replay state; a delta merges.
+/// Record kinds. A base record resets replay state; a delta merges; a
+/// delta with evictions merges, then drops its listed pipeline keys.
 const KIND_BASE: u8 = 0;
 const KIND_DELTA: u8 = 1;
+const KIND_DELTA_EVICT: u8 = 2;
+
+/// Successful whole-log rewrites. Declared beside the one function that
+/// rewrites; the daemon registers it with the rest of its metrics.
+pub(crate) static REWRITES: LazyCounter = LazyCounter::new(
+    "shadowdp_store_rewrites_total",
+    "Whole-log store rewrites: first flushes, compactions, and recoveries \
+     from a log that could not be appended to",
+);
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013B;
@@ -126,8 +132,9 @@ pub struct PipelineEntry {
     /// The solver-tier fingerprints this job's verification touched
     /// ([`shadowdp::PipelineReport::solver_fingerprints`]); compaction
     /// keeps a solver entry alive iff some pipeline entry lists it.
-    /// `None` = unknown provenance (a v1 image, whose entries predate
-    /// dependency tracking) — conservatively pins *every* solver entry.
+    /// `None` = unknown provenance (deps tag 0, written for entries that
+    /// predate dependency tracking) — conservatively pins *every* solver
+    /// entry.
     pub deps: Option<Vec<Fingerprint>>,
 }
 
@@ -154,6 +161,9 @@ pub struct VerdictStore {
     dirty_solver: Vec<Fingerprint>,
     /// Pipeline keys added or overwritten since the last successful flush.
     dirty_pipeline: Vec<u128>,
+    /// Pipeline keys evicted since the last successful flush; the next
+    /// append carries them as tombstones.
+    evicted_pipeline: Vec<u128>,
     /// Byte length of the valid log prefix on disk. Appends truncate back
     /// to this first, so a torn tail from a crashed append can never
     /// corrupt the middle of the log.
@@ -163,13 +173,14 @@ pub struct VerdictStore {
     /// compaction ratio.
     logged_entries: u64,
     /// Last-served-batch stamps for pipeline-tier entries, keyed like
-    /// `pipeline`. Eviction groundwork: in-memory only (a restart resets
-    /// them — eviction should act on traffic the current process
-    /// observed), surfaced as oldest/newest gauges over `METRICS`.
+    /// `pipeline`: the recency [`VerdictStore::evict_pipeline_lru`] orders
+    /// by. In-memory only (a restart resets them — eviction acts on
+    /// traffic the current process observed), surfaced as oldest/newest
+    /// gauges over `METRICS`.
     batch_stamps: HashMap<u128, u64>,
-    /// The next flush must rewrite the whole log (missing file, v1 image,
-    /// damaged header, or an append whose partial write could not be
-    /// rolled back).
+    /// The next flush must rewrite the whole log (missing file, damaged
+    /// header, or an append whose partial write could not be rolled
+    /// back).
     needs_rewrite: bool,
     /// Why the last load fell back to cold or dropped a tail, if it did
     /// (missing file is not noted — a first run is expected to be cold).
@@ -184,6 +195,7 @@ impl VerdictStore {
             pipeline: HashMap::new(),
             dirty_solver: Vec::new(),
             dirty_pipeline: Vec::new(),
+            evicted_pipeline: Vec::new(),
             batch_stamps: HashMap::new(),
             log_valid_len: 0,
             logged_entries: 0,
@@ -210,26 +222,6 @@ impl VerdictStore {
         let Ok(bytes) = std::fs::read(&path) else {
             return store; // missing (or unreadable): cold start
         };
-        if bytes.starts_with(MAGIC_V1) {
-            // v1 whole-image format: all-or-nothing checksum, no deps.
-            match decode(&bytes) {
-                Ok((solver, pipeline)) => {
-                    store.logged_entries = (solver.len() + pipeline.len()) as u64;
-                    store.solver = solver;
-                    store.pipeline = pipeline;
-                    // Rewrite as v2 on the next flush; until then the file
-                    // must not be appended to.
-                    store.needs_rewrite = true;
-                }
-                Err(e) => {
-                    store.load_note = Some(format!(
-                        "store {} unusable ({e}); starting cold",
-                        path.display()
-                    ));
-                }
-            }
-            return store;
-        }
         match replay_v2(&bytes) {
             Err(e) => {
                 store.load_note = Some(format!(
@@ -292,10 +284,10 @@ impl VerdictStore {
         self.log_valid_len
     }
 
-    /// Entries waiting for the next flush (both tiers, duplicates
-    /// uncollapsed).
+    /// Entries and tombstones waiting for the next flush (both tiers,
+    /// duplicates uncollapsed).
     pub fn dirty_len(&self) -> usize {
-        self.dirty_solver.len() + self.dirty_pipeline.len()
+        self.dirty_solver.len() + self.dirty_pipeline.len() + self.evicted_pipeline.len()
     }
 
     /// Whether the log carries enough superseded weight to be worth
@@ -373,8 +365,8 @@ impl VerdictStore {
     /// Stamps a pipeline-tier entry with the batch sequence number that
     /// last wrote or served it (no-op for an absent entry). The daemon
     /// calls this at `pipeline_put` time and whenever the store answers
-    /// a resubmission — so the stamp is a last-use mark, the groundwork
-    /// a future LRU-style pipeline-tier eviction policy needs.
+    /// a resubmission — so the stamp is the last-use mark
+    /// [`VerdictStore::evict_pipeline_lru`] orders by.
     pub fn stamp_served(&mut self, spec: &JobSpec, batch_seq: u64) {
         let key = Self::job_key(spec);
         if self.pipeline.contains_key(&key) {
@@ -399,10 +391,10 @@ impl VerdictStore {
     /// in-memory last-served batch stamp ([`VerdictStore::stamp_served`]);
     /// entries never served by this process count as stamp 0, i.e.
     /// coldest, and ties break by key so eviction is deterministic. The
-    /// log format has no tombstones, so any eviction schedules a full
-    /// rewrite — call right before a flush and the rewrite rides the same
-    /// I/O pass. Evicted entries' solver-tier dependencies become
-    /// unreachable and are pruned by the next compaction.
+    /// evicted keys become tombstones in the next flush's delta record
+    /// (kind 2), so eviction costs an append, not a rewrite. Evicted
+    /// entries' solver-tier dependencies become unreachable and are
+    /// pruned by the next compaction.
     pub fn evict_pipeline_lru(&mut self, max: usize) -> usize {
         if self.pipeline.len() <= max {
             return 0;
@@ -417,8 +409,8 @@ impl VerdictStore {
         for (_, key) in order.into_iter().take(excess) {
             self.pipeline.remove(&key);
             self.batch_stamps.remove(&key);
+            self.evicted_pipeline.push(key);
         }
-        self.needs_rewrite = true;
         excess
     }
 
@@ -444,13 +436,13 @@ impl VerdictStore {
     /// Persists everything recorded since the last successful flush.
     ///
     /// Steady state this **appends one delta record** — O(batch), not
-    /// O(store): the record holds only the dirty entries, framed with its
-    /// own checksum, written after truncating away any torn tail a
+    /// O(store): the record holds only the dirty entries and the
+    /// tombstones of pipeline entries evicted since the last flush, framed
+    /// with one checksum, written after truncating away any torn tail a
     /// previous crash left. The whole log is rewritten instead (atomic
     /// temp + fsync + rename) when there is no valid v2 log to append to:
-    /// first flush, a loaded v1 image, a damaged header, or a failed
-    /// append that could not be rolled back. With nothing dirty this is a
-    /// no-op.
+    /// first flush, a damaged header, or a failed append that could not
+    /// be rolled back. With nothing dirty this is a no-op.
     ///
     /// # Errors
     ///
@@ -461,14 +453,13 @@ impl VerdictStore {
         if self.path.is_none() {
             // In-memory stores have nothing to persist; drop the tracking
             // so it cannot grow without bound.
-            self.dirty_solver.clear();
-            self.dirty_pipeline.clear();
+            self.clear_dirty();
             return Ok(());
         }
         if self.needs_rewrite {
             return self.rewrite(None);
         }
-        if self.dirty_solver.is_empty() && self.dirty_pipeline.is_empty() {
+        if self.dirty_len() == 0 {
             return Ok(());
         }
         self.append_delta()
@@ -481,7 +472,7 @@ impl VerdictStore {
     /// Pending dirty entries are folded in, so a clean-shutdown compaction
     /// subsumes the final flush.
     ///
-    /// Pipeline entries with unknown dependencies (loaded from a v1 image)
+    /// Pipeline entries with unknown dependencies (deps tag 0)
     /// conservatively pin every solver entry.
     ///
     /// # Errors
@@ -529,8 +520,7 @@ impl VerdictStore {
             if let Some(keep) = keep {
                 self.solver.retain(|k, _| keep.contains(k));
             }
-            self.dirty_solver.clear();
-            self.dirty_pipeline.clear();
+            self.clear_dirty();
             return Ok(());
         };
         let solver: Vec<(&Fingerprint, &CheckResult)> = self
@@ -546,6 +536,7 @@ impl VerdictStore {
             KIND_BASE,
             solver,
             self.pipeline.iter().collect(),
+            &[],
         )?;
 
         let tmp = tmp_path(&path);
@@ -567,16 +558,24 @@ impl VerdictStore {
         self.log_valid_len = bytes.len() as u64;
         self.logged_entries = record_entries;
         self.needs_rewrite = false;
-        self.dirty_solver.clear();
-        self.dirty_pipeline.clear();
+        self.clear_dirty();
+        REWRITES.inc();
         Ok(())
     }
 
-    /// Appends one delta record holding the dirty entries: truncate to the
-    /// last known-valid length (drops any torn tail), write, fsync. On
-    /// failure the file is rolled back to the valid prefix (or, if even
-    /// that fails, the next flush falls back to a full rewrite) and the
-    /// dirty delta is kept.
+    /// Forgets the pending delta and tombstones once they are persisted
+    /// (or, for an in-memory store, once there is nothing to persist).
+    fn clear_dirty(&mut self) {
+        self.dirty_solver.clear();
+        self.dirty_pipeline.clear();
+        self.evicted_pipeline.clear();
+    }
+
+    /// Appends one delta record holding the dirty entries and pending
+    /// tombstones: truncate to the last known-valid length (drops any torn
+    /// tail), write, fsync. On failure the file is rolled back to the
+    /// valid prefix (or, if even that fails, the next flush falls back to
+    /// a full rewrite) and the dirty delta and tombstones are kept.
     fn append_delta(&mut self) -> io::Result<()> {
         let path = self.path.clone().expect("append requires a backing file");
 
@@ -588,6 +587,12 @@ impl VerdictStore {
         let mut pipeline_keys = std::mem::take(&mut self.dirty_pipeline);
         pipeline_keys.sort();
         pipeline_keys.dedup();
+        // A key evicted and then put again is live: its put rides this
+        // record, and a tombstone would wrongly remove it on replay.
+        let mut tombstones = std::mem::take(&mut self.evicted_pipeline);
+        tombstones.retain(|k| !self.pipeline.contains_key(k));
+        tombstones.sort();
+        tombstones.dedup();
         let delta_solver: Vec<(&Fingerprint, &CheckResult)> = solver_keys
             .iter()
             .filter_map(|k| self.solver.get_key_value(k))
@@ -596,20 +601,16 @@ impl VerdictStore {
             .iter()
             .filter_map(|k| self.pipeline.get_key_value(k))
             .collect();
-        let record_entries = (delta_solver.len() + delta_pipeline.len()) as u64;
+        let record_entries = (delta_solver.len() + delta_pipeline.len() + tombstones.len()) as u64;
+        let kind = if tombstones.is_empty() {
+            KIND_DELTA
+        } else {
+            KIND_DELTA_EVICT
+        };
 
         let mut bytes = Vec::new();
-        if let Err(e) = append_record(&mut bytes, KIND_DELTA, delta_solver, delta_pipeline) {
-            self.dirty_solver = solver_keys;
-            self.dirty_pipeline = pipeline_keys;
-            return Err(e);
-        }
-
-        let restore_dirty = |store: &mut VerdictStore| {
-            store.dirty_solver = solver_keys.clone();
-            store.dirty_pipeline = pipeline_keys.clone();
-        };
-        let result = (|| -> io::Result<()> {
+        let encoded = append_record(&mut bytes, kind, delta_solver, delta_pipeline, &tombstones);
+        let result = encoded.and_then(|()| {
             shadowdp_fault::fail_point("store.append.open")?;
             let mut file = std::fs::OpenOptions::new().write(true).open(&path)?;
             shadowdp_fault::fail_point("store.append.setlen")?;
@@ -617,9 +618,8 @@ impl VerdictStore {
             file.seek(io::SeekFrom::Start(self.log_valid_len))?;
             shadowdp_fault::write_all("store.append.write", &mut file, &bytes)?;
             shadowdp_fault::fail_point("store.append.sync")?;
-            file.sync_all()?;
-            Ok(())
-        })();
+            file.sync_all()
+        });
         match result {
             Ok(()) => {
                 self.log_valid_len += bytes.len() as u64;
@@ -627,7 +627,11 @@ impl VerdictStore {
                 Ok(())
             }
             Err(e) => {
-                restore_dirty(self);
+                // Keep the delta for the next flush. Entries dirtied
+                // meanwhile cannot exist (the caller holds `&mut self`).
+                self.dirty_solver = solver_keys;
+                self.dirty_pipeline = pipeline_keys;
+                self.evicted_pipeline = tombstones;
                 // Roll the file back to the valid prefix; if that fails
                 // too, the log may carry a torn tail we can no longer
                 // truncate here — replay would recover, but the safe move
@@ -661,6 +665,7 @@ impl VerdictStore {
             KIND_BASE,
             self.solver.iter().collect(),
             self.pipeline.iter().collect(),
+            &[],
         )
         .expect("store fits in one record frame");
         out
@@ -705,6 +710,8 @@ fn encode_check_result(out: &mut Vec<u8>, result: &CheckResult) {
 
 /// Encodes one framed record (length + payload + checksum) onto `out`.
 /// Entries are sorted by key so identical contents frame identically.
+/// `evicted` (sorted by the caller) is written only for
+/// [`KIND_DELTA_EVICT`], after the entries, under the same checksum.
 ///
 /// # Errors
 ///
@@ -717,6 +724,7 @@ fn append_record(
     kind: u8,
     mut solver: Vec<(&Fingerprint, &CheckResult)>,
     mut pipeline: Vec<(&u128, &PipelineEntry)>,
+    evicted: &[u128],
 ) -> io::Result<()> {
     let mut payload = Vec::new();
     payload.push(kind);
@@ -746,6 +754,12 @@ fn append_record(
             }
         }
     }
+    if kind == KIND_DELTA_EVICT {
+        payload.extend_from_slice(&(evicted.len() as u64).to_le_bytes());
+        for key in evicted {
+            payload.extend_from_slice(&key.to_le_bytes());
+        }
+    }
 
     let Ok(frame_len) = u32::try_from(payload.len()) else {
         return Err(io::Error::new(
@@ -772,13 +786,11 @@ fn append_record(
 /// independent failure mode so the durability tests can pin each.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
-    /// File shorter than magic + checksum, or a record ran off the end.
+    /// File shorter than the magic, or a record ran off the end.
     Truncated,
-    /// Magic bytes don't match (wrong file or future format version).
+    /// Magic bytes don't match (wrong file, or a past or future format
+    /// version).
     BadMagic,
-    /// Checksum mismatch (bit corruption, or truncation that happened to
-    /// keep the length plausible).
-    BadChecksum,
     /// A structurally invalid record (unknown tag, non-UTF-8 name,
     /// zero denominator).
     Malformed(&'static str),
@@ -789,7 +801,6 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "truncated"),
             DecodeError::BadMagic => write!(f, "bad magic"),
-            DecodeError::BadChecksum => write!(f, "checksum mismatch"),
             DecodeError::Malformed(what) => write!(f, "malformed {what}"),
         }
     }
@@ -836,73 +847,6 @@ impl<'a> Cursor<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed("string"))
     }
-}
-
-type DecodedV1 = (
-    HashMap<Fingerprint, CheckResult>,
-    HashMap<u128, PipelineEntry>,
-);
-
-/// Decodes a **v1** whole-image store (magic `SDPVERD1`, trailing
-/// whole-file checksum). Kept for read compatibility: entries decode with
-/// unknown dependency sets ([`PipelineEntry::deps`] = `None`). Checksum is
-/// verified before any structural parsing, so corrupt length fields can at
-/// worst produce a `Truncated` error from the bounds-checked cursor, never
-/// an oversized allocation.
-///
-/// # Errors
-///
-/// Any truncation, corruption, or structural invalidity rejects the whole
-/// image — v1 has no record framing to recover a prefix from.
-pub fn decode(bytes: &[u8]) -> Result<DecodedV1, DecodeError> {
-    if bytes.len() < MAGIC_V1.len() + 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 16);
-    let stored = u128::from_le_bytes(trailer.try_into().unwrap());
-    if fnv128(body) != stored {
-        return Err(DecodeError::BadChecksum);
-    }
-
-    let mut cur = Cursor { bytes: body, at: 0 };
-    if cur.take(MAGIC_V1.len())? != MAGIC_V1 {
-        return Err(DecodeError::BadMagic);
-    }
-
-    let solver_count = cur.u64()?;
-    let mut solver = HashMap::new();
-    for _ in 0..solver_count {
-        let fp = Fingerprint(cur.u128()?);
-        let result = decode_check_result(&mut cur)?;
-        solver.insert(fp, result);
-    }
-
-    let pipeline_count = cur.u64()?;
-    let mut pipeline = HashMap::new();
-    for _ in 0..pipeline_count {
-        let key = cur.u128()?;
-        let ok = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(DecodeError::Malformed("ok flag")),
-        };
-        let verdict = cur.string()?;
-        let digest = cur.string()?;
-        pipeline.insert(
-            key,
-            PipelineEntry {
-                ok,
-                verdict,
-                digest,
-                deps: None,
-            },
-        );
-    }
-
-    if cur.at != body.len() {
-        return Err(DecodeError::Malformed("trailing bytes"));
-    }
-    Ok((solver, pipeline))
 }
 
 /// The result of replaying a v2 log.
@@ -972,7 +916,7 @@ fn try_record(bytes: &[u8], out: &mut Replayed) -> Option<usize> {
         at: 0,
     };
     let kind = cur.u8().ok()?;
-    if kind != KIND_BASE && kind != KIND_DELTA {
+    if kind > KIND_DELTA_EVICT {
         return None;
     }
 
@@ -1017,19 +961,29 @@ fn try_record(bytes: &[u8], out: &mut Replayed) -> Option<usize> {
             },
         ));
     }
+    let mut evicted = Vec::new();
+    if kind == KIND_DELTA_EVICT {
+        for _ in 0..cur.u64().ok()? {
+            evicted.push(cur.u128().ok()?);
+        }
+    }
     if cur.at != payload.len() {
         return None;
     }
 
-    // Fully valid: merge. A base record resets replay state.
+    // Fully valid: merge. A base record resets replay state; tombstones
+    // apply after the record's own entries.
     if kind == KIND_BASE {
         out.solver.clear();
         out.pipeline.clear();
         out.logged_entries = 0;
     }
-    out.logged_entries += (solver.len() + pipeline.len()) as u64;
+    out.logged_entries += (solver.len() + pipeline.len() + evicted.len()) as u64;
     out.solver.extend(solver);
     out.pipeline.extend(pipeline);
+    for key in &evicted {
+        out.pipeline.remove(key);
+    }
     Some(total)
 }
 
@@ -1196,51 +1150,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn v1_image_is_still_readable() {
-        // Hand-build a v1 image: magic, one solver entry, one pipeline
-        // entry, whole-file checksum.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&9u128.to_le_bytes());
-        bytes.push(0); // Unsat
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&42u128.to_le_bytes());
-        bytes.push(1); // ok
-        encode_bytes(&mut bytes, b"proved");
-        encode_bytes(&mut bytes, b"F Proved\n");
-        let sum = fnv128(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-
-        let path = temp_path("v1");
-        std::fs::write(&path, &bytes).unwrap();
-        let store = VerdictStore::load(&path);
-        assert!(store.load_note().is_none());
-        assert_eq!(store.solver_len(), 1);
-        assert_eq!(store.pipeline_len(), 1);
-        // v1 entries have unknown provenance: they pin the solver tier.
-        assert_eq!(store.pipeline.get(&42).unwrap().deps, None);
-        assert!(store.needs_rewrite, "first flush migrates v1 to v2");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupted_v1_image_is_a_cold_start() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let sum = fnv128(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x40;
-            // v1 decode is all-or-nothing.
-            assert!(decode(&corrupt).is_err(), "flip at {i}");
-        }
-    }
-
     /// A checksum-valid record can still carry values `Rat` itself would
     /// never produce (forged or bit-rotted before sealing); replay must
     /// reject the record, never reach a panicking `Rat::new`.
@@ -1350,6 +1259,51 @@ mod tests {
         let mut survivor = reloaded;
         let stats = survivor.compact().unwrap();
         assert_eq!(stats.dropped_solver, 2, "{stats:?}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn eviction_appends_a_tombstone_instead_of_rewriting() {
+        let path = temp_path("tombstone");
+        let mut store = VerdictStore::load(&path);
+        let specs: Vec<JobSpec> = (0..3)
+            .map(|i| JobSpec::new(format!("function T{i}() returns o: num(0,0) {{ o := 0; }}")))
+            .collect();
+        for (i, spec) in specs.iter().enumerate() {
+            store.pipeline_put(
+                spec,
+                PipelineEntry {
+                    ok: true,
+                    verdict: "proved".into(),
+                    digest: format!("T{i} Proved\n"),
+                    deps: Some(vec![]),
+                },
+            );
+            store.stamp_served(spec, i as u64 + 1);
+        }
+        store.flush().unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let logged_before = store.logged_entries();
+
+        assert_eq!(store.evict_pipeline_lru(2), 1);
+        assert!(!store.needs_rewrite, "eviction schedules no rewrite");
+        assert_eq!(store.dirty_len(), 1, "the tombstone is pending");
+        store.flush().unwrap();
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(&after[..before.len()], &before[..], "the flush appended");
+        // One frame: u32 length, kind, two empty entry counts, one
+        // tombstone, checksum.
+        assert_eq!(after.len() - before.len(), 4 + 1 + 8 + 8 + 8 + 16 + 16);
+        assert_eq!(after[before.len() + 4], KIND_DELTA_EVICT);
+        // The tombstone is logged weight; the evicted entry is dead weight.
+        assert_eq!(store.logged_entries(), logged_before + 1);
+        assert_eq!(store.live_entries(), 2);
+
+        let reloaded = VerdictStore::load(&path);
+        assert!(reloaded.load_note().is_none());
+        assert!(reloaded.pipeline_get(&specs[0]).is_none());
+        assert_eq!(reloaded.pipeline_len(), 2);
+        assert_eq!(reloaded.logged_entries(), store.logged_entries());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1540,7 +1494,7 @@ mod tests {
                 ok: true,
                 verdict: "proved".into(),
                 digest: "F Proved\n".into(),
-                deps: None, // v1 provenance
+                deps: None, // unknown provenance
             },
         );
         let stats = store.compact().unwrap();

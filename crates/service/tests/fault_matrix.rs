@@ -396,6 +396,113 @@ fn accepted_submissions_stay_journaled_until_flushed() {
     cleanup(&[&socket, &store]);
 }
 
+/// A batch served entirely from the store flushes nothing, so it leaves
+/// the journal alone (replaying its entries would only produce store
+/// hits); the next batch that flushes resets it, and clean shutdown
+/// removes it.
+#[test]
+fn store_hit_batches_leave_the_journal_to_the_next_flush() {
+    let _guard = FaultPlan::new().install();
+    let (socket, store) = temp_paths("journal-hits");
+    let journal = journal_path(&store);
+    let (handle, mut client) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(2),
+        ..DaemonConfig::new(&socket)
+    });
+    let a = JobSpec::new(corpus::laplace_mechanism().source);
+    let b = JobSpec::new(corpus::partial_sum().source);
+
+    // Outcomes are published in the same critical section as the journal
+    // reset, so STATUS after a RESULT sees the batch's final count.
+    let journaled = |client: &mut Client| client.status().expect("status").journaled;
+    assert!(!client.run_corpus(std::slice::from_ref(&a)).expect("a")[0].from_store);
+    assert_eq!(journaled(&mut client), 0, "a flushing batch resets");
+    for round in 1..=2 {
+        assert!(client.run_corpus(std::slice::from_ref(&a)).expect("a")[0].from_store);
+        assert_eq!(
+            journaled(&mut client),
+            round,
+            "store-hit batch {round} keeps it"
+        );
+        assert!(journal.exists());
+    }
+    assert!(!client.run_corpus(std::slice::from_ref(&b)).expect("b")[0].from_store);
+    assert_eq!(journaled(&mut client), 0, "the next flushing batch resets");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    assert!(!journal.exists(), "clean shutdown removes the journal");
+    cleanup(&[&socket, &store]);
+}
+
+/// Store-hit batches alone still keep the journal bounded: once it holds
+/// more than 1 024 submissions, the next batch resets it although that
+/// batch flushed nothing.
+#[test]
+fn store_hit_batches_keep_the_journal_bounded() {
+    let _guard = FaultPlan::new().install();
+    let (socket, store) = temp_paths("journal-slack");
+    let (handle, mut client) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(2),
+        ..DaemonConfig::new(&socket)
+    });
+    let a = JobSpec::new(corpus::laplace_mechanism().source);
+    assert!(!client.run_corpus(std::slice::from_ref(&a)).expect("a")[0].from_store);
+    let outcomes = client.run_corpus(&vec![a; 1100]).expect("resubmissions");
+    assert!(outcomes.iter().all(|o| o.from_store));
+    let journaled = client.status().expect("status").journaled;
+    assert!(
+        journaled < 1024,
+        "journal reset past its slack ({journaled})"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    cleanup(&[&socket, &store]);
+}
+
+/// While a failed flush waits for its retry, the journal keeps covering
+/// the unpersisted job — also across later batches served entirely from
+/// the store's in-memory tier, which flush nothing.
+#[test]
+fn failed_flush_keeps_the_journal_across_store_hit_batches() {
+    let guard = FaultPlan::new()
+        .sticky("store.rewrite.sync", FaultKind::Error, 1)
+        .sticky("store.append.sync", FaultKind::Error, 1)
+        .install();
+    let (socket, store) = temp_paths("journal-unflushed");
+    let journal = journal_path(&store);
+    let (handle, mut client) = start_daemon(DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(2),
+        ..DaemonConfig::new(&socket)
+    });
+    let a = JobSpec::new(corpus::laplace_mechanism().source);
+    assert!(!client.run_corpus(std::slice::from_ref(&a)).expect("a")[0].from_store);
+    assert!(client.run_corpus(std::slice::from_ref(&a)).expect("a")[0].from_store);
+    assert_eq!(client.status().expect("status").journaled, 2);
+
+    // A crash now would replay `a` and re-verify it: the journal still
+    // names it although its store entry never reached the disk.
+    let replay = std::fs::read(&journal).expect("journal present");
+    let line = proto::encode_request(&Request::Submit(a.clone()));
+    assert!(
+        replay.windows(line.len()).any(|w| w == line.as_bytes()),
+        "the unflushed job stays journaled"
+    );
+    drop(guard);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    assert!(
+        !journal.exists(),
+        "the shutdown compaction persisted it all"
+    );
+    cleanup(&[&socket, &store]);
+}
+
 // ---------------------------------------------------------------------
 // 4: backpressure
 // ---------------------------------------------------------------------

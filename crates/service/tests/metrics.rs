@@ -319,3 +319,89 @@ fn journal_replay_is_counted() {
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_file(&store);
 }
+
+/// Laplace with an unused Houdini round cap `1 + i`: a distinct pipeline
+/// key per `i` whose solver queries all hit the memo after the first.
+fn nudged_laplace(i: usize) -> JobSpec {
+    let mut options = OptionsSpec::from_options(&shadowdp_verify::Options::default());
+    options.max_rounds += 1 + i;
+    JobSpec {
+        source: corpus::laplace_mechanism().source.to_string(),
+        options: Some(options),
+        isolated_memo: false,
+    }
+}
+
+/// A daemon at its `--store-max-pipeline-entries` cap evicts on every
+/// fresh batch, and each eviction is an appended tombstone: the only
+/// whole-log rewrites are ratio compactions. A restart holds at most the
+/// cap, and a restart under a lower cap evicts down to it before the
+/// first request and persists the tombstones right away.
+#[test]
+fn capped_store_evicts_by_appending_and_restarts_within_the_cap() {
+    const CAP: usize = 4;
+    const FRESH: usize = 8;
+    let _guard = FaultPlan::new().install();
+    let (socket, store) = temp_paths("cap");
+    let config = DaemonConfig {
+        store: Some(store.clone()),
+        threads: Some(2),
+        max_pipeline_entries: Some(CAP),
+        ..DaemonConfig::new(&socket)
+    };
+    let (handle, mut client) = start_daemon(config.clone());
+    for i in 0..CAP {
+        let o = client.run_corpus(&[nudged_laplace(i)]).expect("fill batch");
+        assert!(!o[0].from_store);
+    }
+
+    let before = scrape(&mut client);
+    for i in CAP..CAP + FRESH {
+        let o = client
+            .run_corpus(&[nudged_laplace(i)])
+            .expect("fresh batch");
+        assert!(!o[0].from_store, "{:?}", o[0]);
+    }
+    let after = scrape(&mut client);
+    let delta = |name: &str| value(&after, name) - value(&before, name);
+    assert_eq!(delta("shadowdp_pipeline_evictions_total"), FRESH as f64);
+    assert_eq!(delta("shadowdp_store_flush_us_count"), FRESH as f64);
+    assert_eq!(
+        delta("shadowdp_store_rewrites_total"),
+        delta("shadowdp_store_compactions_total"),
+        "an eviction must append, not rewrite"
+    );
+    assert_eq!(client.status().expect("status").pipeline_store, CAP as u64);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+
+    // Restart under the same cap: at most CAP entries, the newest warm.
+    let (handle, mut client) = start_daemon(config.clone());
+    assert!(client.status().expect("status").pipeline_store <= CAP as u64);
+    let o = client
+        .run_corpus(&[nudged_laplace(CAP + FRESH - 1)])
+        .expect("warm batch");
+    assert!(o[0].from_store, "{:?}", o[0]);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+
+    // Restart under a lower cap: the store serves within it before any
+    // batch ran, and the tombstones are already on disk.
+    let evictions_before = counter_now("shadowdp_pipeline_evictions_total");
+    let (handle, mut client) = start_daemon(DaemonConfig {
+        max_pipeline_entries: Some(1),
+        ..config
+    });
+    assert_eq!(client.status().expect("status").pipeline_store, 1);
+    assert_eq!(
+        counter_now("shadowdp_pipeline_evictions_total") - evictions_before,
+        CAP as u64 - 1
+    );
+    assert_eq!(
+        shadowdp_service::VerdictStore::load(&store).pipeline_len(),
+        1
+    );
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_file(&store);
+}

@@ -12,13 +12,14 @@
 //!    half-merged record, a note explaining what was dropped. Only header
 //!    damage costs the whole store.
 //! 3. **Append atomicity** — a crash at *any byte* of an incremental
-//!    append recovers to exactly the pre-append or post-append view.
+//!    append, including one that carries eviction tombstones, recovers to
+//!    exactly the pre-append or post-append view.
 //! 4. **Compaction atomicity** — a crash at *any byte* of a compaction
 //!    rewrite (staged in a temp file, renamed over the log) recovers to
 //!    exactly the pre- or post-compaction view, never a mix.
-//! 5. **v1 compatibility** — a store written in the old whole-image
-//!    format still loads in full (and conservatively pins every solver
-//!    entry through compaction).
+//! 5. **Format stability** — a log without evictions encodes byte for
+//!    byte as it did before tombstones existed, and a file of the retired
+//!    whole-image format (`SDPVERD1`) is a noted cold start.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -38,6 +39,15 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "shadowdp-store-{}-{tag}-{n}.bin",
         std::process::id()
+    ))
+}
+
+/// A distinct trivially-proved program per index; index 0 is the `F` the
+/// single-spec tests use.
+fn probe_spec(i: usize) -> JobSpec {
+    let name = ["F", "G", "H", "I", "J", "K"][i];
+    JobSpec::new(format!(
+        "function {name}() returns o: num(0,0) {{ o := 0; }}"
     ))
 }
 
@@ -147,17 +157,35 @@ proptest! {
     }
 
     /// The same contents spread over many incremental flushes (one base +
-    /// one delta record per step) replay to the same state as one flush.
+    /// one delta record per step) replay to the same state as one flush —
+    /// also when LRU evictions (tombstones) are interleaved with the puts,
+    /// including a key evicted and put again before the same flush.
     #[test]
     fn incremental_flushes_replay_like_one_flush(
         entries in proptest::collection::vec((arb_fingerprint(), arb_check_result()), 1..24),
         chunk in 1usize..6,
+        jobs in proptest::collection::vec((0usize..6, 0usize..6), 1..8),
+        cap in 1usize..4,
     ) {
         let path = temp_path("chunks");
+        let specs: Vec<JobSpec> = (0..6).map(probe_spec).collect();
         let mut store = VerdictStore::load(&path);
-        for batch in entries.chunks(chunk) {
+        for (seq, batch) in entries.chunks(chunk).enumerate() {
             for (fp, result) in batch {
                 store.solver_put(*fp, result.clone());
+            }
+            // One put, an eviction down to the cap, then a second put that
+            // may re-store a key the eviction just tombstoned.
+            let (first, second) = jobs[seq % jobs.len()];
+            for (step, job) in [first, second].into_iter().enumerate() {
+                store.pipeline_put(
+                    &specs[job],
+                    entry("proved", &format!("P{job} batch {seq}\n"), Some(vec![])),
+                );
+                store.stamp_served(&specs[job], seq as u64 + 1);
+                if step == 0 {
+                    store.evict_pipeline_lru(cap);
+                }
             }
             store.flush().expect("flush succeeds");
         }
@@ -169,6 +197,10 @@ proptest! {
         let expected = QueryMemo::default();
         expected.absorb(entries.clone());
         prop_assert_eq!(recovered.snapshot(), expected.snapshot());
+        // Pipeline tier: the replayed log holds exactly the live entries,
+        // so it encodes to the image one flush of the live store writes.
+        prop_assert_eq!(reloaded.encode(), store.encode());
+        prop_assert_eq!(reloaded.logged_entries(), store.logged_entries());
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -455,44 +487,34 @@ fn missing_store_is_a_quiet_cold_start() {
 // the pre- or post-append view
 // ---------------------------------------------------------------------------
 
-/// Compact comparable view of a store's contents.
-fn view(store: &VerdictStore) -> (Vec<(Fingerprint, CheckResult)>, usize) {
+/// Compact comparable view of a store's contents: the solver tier, the
+/// pipeline-tier size, and the digests the first three probe specs map
+/// to (`None` = absent or evicted).
+type View = (Vec<(Fingerprint, CheckResult)>, usize, Vec<Option<String>>);
+
+fn view(store: &VerdictStore) -> View {
     let memo = QueryMemo::default();
     store.warm_memo(&memo);
-    (memo.snapshot(), store.pipeline_len())
+    let probes = (0..3)
+        .map(|i| store.pipeline_get(&probe_spec(i)).map(|e| e.digest.clone()))
+        .collect();
+    (memo.snapshot(), store.pipeline_len(), probes)
 }
 
-#[test]
-fn killed_append_recovers_pre_or_post_view_at_every_byte() {
-    let path = temp_path("kill-append");
-    let mut store = VerdictStore::load(&path);
-    for i in 0..6u128 {
-        store.solver_put(Fingerprint(i), CheckResult::Unsat);
-    }
-    store.flush().unwrap();
-    let pre_bytes = std::fs::read(&path).unwrap();
-    let pre_view = view(&VerdictStore::load(&path));
-
-    store.solver_put(Fingerprint(100), CheckResult::Unsat);
-    store.pipeline_put(
-        &JobSpec::new("function F() returns o: num(0,0) { o := 0; }"),
-        entry("proved", "F Proved\n", Some(vec![Fingerprint(100)])),
-    );
-    store.flush().unwrap();
-    let post_bytes = std::fs::read(&path).unwrap();
-    let post_view = view(&VerdictStore::load(&path));
+/// Every prefix of `post_bytes` past `pre_bytes` (an append that died
+/// after that many bytes) must load as exactly the pre or the post view,
+/// and only the complete append as post.
+fn assert_every_torn_append_is_pre_or_post(path: &PathBuf, pre_bytes: &[u8], post_bytes: &[u8]) {
+    let load_view = |bytes: &[u8]| {
+        std::fs::write(path, bytes).unwrap();
+        view(&VerdictStore::load(path))
+    };
+    let pre_view = load_view(pre_bytes);
+    let post_view = load_view(post_bytes);
     assert_ne!(pre_view, post_view);
-    assert_eq!(
-        &post_bytes[..pre_bytes.len()],
-        &pre_bytes[..],
-        "append-only"
-    );
-
-    // An append that died after `len` bytes leaves pre_bytes + a partial
-    // record; every such state must load as exactly pre or post.
+    assert_eq!(&post_bytes[..pre_bytes.len()], pre_bytes, "append-only");
     for len in pre_bytes.len()..=post_bytes.len() {
-        std::fs::write(&path, &post_bytes[..len]).unwrap();
-        let recovered = view(&VerdictStore::load(&path));
+        let recovered = load_view(&post_bytes[..len]);
         assert!(
             recovered == pre_view || recovered == post_view,
             "crash at byte {len} produced a third state"
@@ -502,6 +524,57 @@ fn killed_append_recovers_pre_or_post_view_at_every_byte() {
             assert_eq!(recovered, pre_view, "partial append at {len} must be pre");
         }
     }
+}
+
+#[test]
+fn killed_append_recovers_pre_or_post_view_at_every_byte() {
+    let path = temp_path("kill-append");
+    let mut store = VerdictStore::load(&path);
+    for i in 0..6u128 {
+        store.solver_put(Fingerprint(i), CheckResult::Unsat);
+    }
+    for i in [1, 2] {
+        store.pipeline_put(
+            &probe_spec(i),
+            entry("proved", &format!("P{i}\n"), Some(vec![])),
+        );
+        store.stamp_served(&probe_spec(i), i as u64);
+    }
+    store.flush().unwrap();
+    let pre_bytes = std::fs::read(&path).unwrap();
+
+    // A plain delta: new entries only.
+    store.solver_put(Fingerprint(100), CheckResult::Unsat);
+    store.pipeline_put(
+        &probe_spec(0),
+        entry("proved", "F Proved\n", Some(vec![Fingerprint(100)])),
+    );
+    store.stamp_served(&probe_spec(0), 3);
+    store.flush().unwrap();
+    let mid_bytes = std::fs::read(&path).unwrap();
+    assert_every_torn_append_is_pre_or_post(&path, &pre_bytes, &mid_bytes);
+
+    // A delta that carries an eviction: a new entry and the tombstone of
+    // the coldest one (probe 1) must land together or not at all.
+    std::fs::write(&path, &mid_bytes).unwrap();
+    store.solver_put(Fingerprint(101), CheckResult::Unsat);
+    store.pipeline_put(&probe_spec(3), entry("proved", "P3\n", Some(vec![])));
+    store.stamp_served(&probe_spec(3), 4);
+    assert_eq!(store.evict_pipeline_lru(3), 1);
+    store.flush().unwrap();
+    let post_bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        post_bytes[mid_bytes.len() + 4],
+        2,
+        "an evicting delta is kind 2"
+    );
+    let post = VerdictStore::load(&path);
+    assert!(
+        post.pipeline_get(&probe_spec(1)).is_none(),
+        "tombstone replayed"
+    );
+    assert_eq!(post.pipeline_len(), 3);
+    assert_every_torn_append_is_pre_or_post(&path, &mid_bytes, &post_bytes);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -578,59 +651,108 @@ fn killed_compaction_recovers_pre_or_post_view_at_every_byte() {
 }
 
 // ---------------------------------------------------------------------------
-// v1 compatibility end-to-end: old image in, full warmth out
+// Format stability: eviction-free logs keep their bytes; v1 is retired
 // ---------------------------------------------------------------------------
 
+/// A log that never evicted is byte for byte the encoding that predates
+/// tombstones: a base record and a kind-1 delta, spelled out field by
+/// field here independently of the store's encoder.
 #[test]
-fn v1_store_round_trips_through_migration() {
-    // Forge a v1 image the way the old code did: v1 entry encodings, one
-    // whole-file checksum. (The v1 writer is gone; its byte layout is
-    // pinned here so read compatibility cannot silently rot.)
-    fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
+fn eviction_free_log_encodes_byte_for_byte_as_before() {
+    let path = temp_path("golden");
+    let mut store = VerdictStore::load(&path);
+    store.solver_put(Fingerprint(7), CheckResult::Unsat);
+    store.pipeline_put(
+        &probe_spec(0),
+        entry("proved", "F Proved\n", Some(vec![Fingerprint(7)])),
+    );
+    store.flush().unwrap(); // first flush: base record
+    let model = Model {
+        reals: BTreeMap::from([("x".to_string(), Rat::new(-7, 3))]),
+        bools: BTreeMap::from([("p".to_string(), true)]),
+        possibly_spurious: false,
+    };
+    store.solver_put(Fingerprint(9), CheckResult::Sat(model));
+    store.pipeline_put(&probe_spec(1), entry("refuted: x", "G\n", None));
+    store.flush().unwrap(); // delta record
+
+    fn string(out: &mut Vec<u8>, s: &str) {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
     }
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"SDPVERD1");
-    bytes.extend_from_slice(&2u64.to_le_bytes());
-    for fp in [3u128, 9u128] {
-        bytes.extend_from_slice(&fp.to_le_bytes());
-        bytes.push(0); // Unsat
+    fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&shadowdp_service::fnv128(payload).to_le_bytes());
     }
+    let key = |i| VerdictStore::job_key(&probe_spec(i)).to_le_bytes();
+
+    let mut base = vec![0u8]; // kind: base
+    base.extend_from_slice(&1u64.to_le_bytes());
+    base.extend_from_slice(&7u128.to_le_bytes());
+    base.push(0); // Unsat
+    base.extend_from_slice(&1u64.to_le_bytes());
+    base.extend_from_slice(&key(0));
+    base.push(1); // ok
+    string(&mut base, "proved");
+    string(&mut base, "F Proved\n");
+    base.push(1); // deps known
+    base.extend_from_slice(&1u64.to_le_bytes());
+    base.extend_from_slice(&7u128.to_le_bytes());
+
+    let mut delta = vec![1u8]; // kind: delta
+    delta.extend_from_slice(&1u64.to_le_bytes());
+    delta.extend_from_slice(&9u128.to_le_bytes());
+    delta.push(1); // Sat
+    delta.push(0); // not spurious
+    delta.extend_from_slice(&1u32.to_le_bytes());
+    string(&mut delta, "x");
+    delta.extend_from_slice(&(-7i128).to_le_bytes());
+    delta.extend_from_slice(&3i128.to_le_bytes());
+    delta.extend_from_slice(&1u32.to_le_bytes());
+    string(&mut delta, "p");
+    delta.push(1);
+    delta.extend_from_slice(&1u64.to_le_bytes());
+    delta.extend_from_slice(&key(1));
+    delta.push(1); // ok
+    string(&mut delta, "refuted: x");
+    string(&mut delta, "G\n");
+    delta.push(0); // deps unknown
+
+    let mut expected = b"SDPVERD2".to_vec();
+    frame(&mut expected, &base);
+    frame(&mut expected, &delta);
+    assert_eq!(std::fs::read(&path).unwrap(), expected);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The retired whole-image format (`SDPVERD1`) is no longer read: such a
+/// file is a noted cold start, like any other bad header, and the next
+/// flush replaces it with a v2 log.
+#[test]
+fn v1_store_is_a_cold_start() {
+    let mut bytes = b"SDPVERD1".to_vec();
     bytes.extend_from_slice(&1u64.to_le_bytes());
-    let spec = JobSpec::new("function F() returns o: num(0,0) { o := 0; }");
-    bytes.extend_from_slice(&VerdictStore::job_key(&spec).to_le_bytes());
-    bytes.push(1); // ok
-    push_bytes(&mut bytes, b"proved");
-    push_bytes(&mut bytes, b"F Proved\n");
+    bytes.extend_from_slice(&3u128.to_le_bytes());
+    bytes.push(0); // Unsat
+    bytes.extend_from_slice(&0u64.to_le_bytes());
     let sum = shadowdp_service::fnv128(&bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
-
-    let path = temp_path("v1-migrate");
+    let path = temp_path("v1-cold");
     std::fs::write(&path, &bytes).unwrap();
 
     let mut store = VerdictStore::load(&path);
-    assert!(store.load_note().is_none());
-    assert_eq!(store.solver_len(), 2);
-    assert_eq!(store.pipeline_len(), 1);
-    let v1_entry = store.pipeline_get(&spec).unwrap();
-    assert_eq!(v1_entry.deps, None, "v1 entries have unknown provenance");
+    assert_eq!(store.solver_len(), 0);
+    assert_eq!(store.pipeline_len(), 0);
+    let note = store.load_note().expect("a v1 file is noted");
+    assert!(note.contains("bad magic"), "{note}");
 
-    // Unknown deps pin the whole solver tier through compaction (which
-    // also migrates the file to v2).
-    let stats = store.compact().unwrap();
-    assert_eq!(stats.dropped_solver, 0);
-    let migrated = VerdictStore::load(&path);
-    assert!(migrated.load_note().is_none());
-    assert_eq!(migrated.solver_len(), 2);
-    assert_eq!(migrated.pipeline_get(&spec).unwrap().deps, None);
-    assert_eq!(migrated.pipeline_get(&spec).unwrap().digest, "F Proved\n");
-
-    // The migrated log appends like any v2 log.
-    let mut migrated = migrated;
-    migrated.solver_put(Fingerprint(77), CheckResult::Unsat);
-    migrated.flush().unwrap();
-    assert_eq!(VerdictStore::load(&path).solver_len(), 3);
+    store.solver_put(Fingerprint(77), CheckResult::Unsat);
+    store.flush().unwrap();
+    let reloaded = VerdictStore::load(&path);
+    assert!(reloaded.load_note().is_none());
+    assert_eq!(reloaded.solver_len(), 1);
+    assert!(std::fs::read(&path).unwrap().starts_with(b"SDPVERD2"));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -724,5 +846,48 @@ fn faultplan_torn_compaction_is_atomic() {
         };
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&tmp);
+    }
+}
+
+/// A failed append that carries evictions keeps them pending: the evicted
+/// entry is still on disk, and the retry persists its tombstone.
+#[test]
+fn faultplan_torn_append_keeps_pending_evictions() {
+    for keep in [0u64, 5, u64::MAX] {
+        let path = temp_path("fault-torn-evict");
+        let mut store = VerdictStore::load(&path);
+        for i in 0..2 {
+            store.pipeline_put(
+                &probe_spec(i),
+                entry("proved", &format!("P{i}\n"), Some(vec![])),
+            );
+            store.stamp_served(&probe_spec(i), i as u64 + 1);
+        }
+        store.flush().unwrap();
+        let pre_view = view(&VerdictStore::load(&path));
+        assert_eq!(store.evict_pipeline_lru(1), 1, "evicts the colder probe 0");
+
+        let guard = FaultPlan::new()
+            .once("store.append.write", FaultKind::TornWrite { keep })
+            .install();
+        let err = store.flush().expect_err("torn append must error");
+        drop(guard);
+        assert!(err.to_string().contains("injected fault"), "{err}");
+        assert_eq!(view(&VerdictStore::load(&path)), pre_view, "tear at {keep}");
+        assert_eq!(
+            store.dirty_len(),
+            1,
+            "tombstone retained after tear at {keep}"
+        );
+
+        store.flush().expect("retry heals");
+        let healed = VerdictStore::load(&path);
+        assert!(
+            healed.pipeline_get(&probe_spec(0)).is_none(),
+            "tear at {keep}"
+        );
+        assert!(healed.pipeline_get(&probe_spec(1)).is_some());
+        assert_eq!(healed.pipeline_len(), 1);
+        let _ = std::fs::remove_file(&path);
     }
 }
